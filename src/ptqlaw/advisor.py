@@ -12,13 +12,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, ExtrapolationWarning, ValidationError
+from .errors import ExtrapolationWarning, ValidationError
 from .model import (
     Factor,
     PtqConfig,
     ScalingLawParams,
     effective_bit_width,
-    predict,
+    evaluate,
 )
 
 #: Ranges the shipped fits were calibrated on. Predictions outside these are
@@ -142,47 +142,43 @@ def sweep(
     Raises:
         ValidationError: an out-of-range configuration without the
             extrapolation flag, or an invalid space.
-        DomainError: propagated from ``predict`` with the offending
-            configuration named.
+        DomainError: from ``evaluate``, naming the offending configuration.
     """
-    points = []
-    warned = False
-    for cfg in space.configs():
-        outside = _out_of_range_fields(cfg)
-        if outside and not allow_extrapolation:
+    configs = space.configs()
+    outside = [_out_of_range_fields(cfg) for cfg in configs]
+    first = next((i for i, fields in enumerate(outside) if fields), None)
+    if first is not None:
+        if not allow_extrapolation:
+            cfg = configs[first]
             raise ValidationError(
-                f"{', '.join(outside)} outside the fitted ranges for config "
+                f"{', '.join(outside[first])} outside the fitted ranges for config "
                 f"(n={cfg.n_params:g}, w={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}); "
                 f"pass allow_extrapolation to evaluate anyway"
             )
-        if outside and not warned:
-            warnings.warn(
-                "sweep extrapolates beyond the fitted ranges; treat those rows with care",
-                ExtrapolationWarning,
-                stacklevel=2,
-            )
-            warned = True
-        try:
-            accuracy = predict(params, cfg)
-        except DomainError as exc:
-            raise DomainError(
-                f"{exc} [at sweep config n={cfg.n_params:g}, w={cfg.w_base}, "
-                f"c_b={cfg.c_b}, g={cfg.g}]"
-            ) from exc
-        storage = cfg.n_params * effective_bit_width(cfg).value
-        points.append(
-            ParetoPoint(
-                cfg=cfg,
-                predicted_accuracy=accuracy,
-                storage_bits=storage,
-                extrapolation=bool(outside),
-            )
+        warnings.warn(
+            "sweep extrapolates beyond the fitted ranges; treat those rows with care",
+            ExtrapolationWarning,
+            stacklevel=2,
         )
-    return points
+    accuracies = evaluate(params, configs).tolist()
+    return [
+        ParetoPoint(
+            cfg=cfg,
+            predicted_accuracy=accuracy,
+            storage_bits=cfg.n_params * effective_bit_width(cfg).value,
+            extrapolation=bool(fields),
+        )
+        for cfg, accuracy, fields in zip(configs, accuracies, outside)
+    ]
 
 
 def _tie_break_key(point: ParetoPoint) -> tuple:
     return (point.cfg.w_base, point.cfg.g, point.cfg.c_b)
+
+
+def _cost_key(point: ParetoPoint) -> tuple:
+    """Cheapest first, then most accurate, then the tie-break fields."""
+    return (point.storage_bits, -point.predicted_accuracy, _tie_break_key(point))
 
 
 def pareto_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
@@ -201,10 +197,7 @@ def pareto_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
         kept = deduped.get(key)
         if kept is None or _tie_break_key(point) < _tie_break_key(kept):
             deduped[key] = point
-    ordered = sorted(
-        deduped.values(),
-        key=lambda p: (p.storage_bits, -p.predicted_accuracy, _tie_break_key(p)),
-    )
+    ordered = sorted(deduped.values(), key=_cost_key)
     frontier: list[ParetoPoint] = []
     best_accuracy = float("-inf")
     for point in ordered:
@@ -225,14 +218,14 @@ def min_cost_config(
     Returns None when no point qualifies; infeasibility is a value, not an
     error. Ties resolve exactly as in ``pareto_frontier``.
     """
+    return cheapest_reaching(
+        sweep(params, space, allow_extrapolation=allow_extrapolation), target_accuracy
+    )
+
+
+def cheapest_reaching(points: list[ParetoPoint], target_accuracy: float) -> ParetoPoint | None:
+    """The point of ``points`` that ``min_cost_config`` selects, or None."""
     if not target_accuracy > 0:
         raise ValidationError(f"target_accuracy must be positive, got {target_accuracy!r}")
-    best: ParetoPoint | None = None
-    best_key = None
-    for point in sweep(params, space, allow_extrapolation=allow_extrapolation):
-        if point.predicted_accuracy < target_accuracy:
-            continue
-        key = (point.storage_bits, -point.predicted_accuracy, _tie_break_key(point))
-        if best_key is None or key < best_key:
-            best, best_key = point, key
-    return best
+    feasible = (p for p in points if p.predicted_accuracy >= target_accuracy)
+    return min(feasible, key=_cost_key, default=None)

@@ -17,18 +17,21 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .ablation import DEFAULT_MASKS, run_ablation
 from .advisor import (
     SearchSpace,
+    cheapest_reaching,
     default_space,
-    min_cost_config,
     pareto_frontier,
     sweep,
 )
@@ -39,7 +42,7 @@ from .dataset import (
     generate_synthetic,
     load_dataset,
 )
-from .errors import PredictionRangeWarning, PtqLawError, ValidationError
+from .errors import ExtrapolationWarning, PtqLawError, ValidationError
 from .fitting import FitOptions, FitProblem, fit_nls, fit_report_extras
 from .model import (
     EXPONENT_FIELDS,
@@ -48,10 +51,10 @@ from .model import (
     ScalingLawParams,
     effective_bit_width,
     effective_bits,
+    evaluate,
     mask_to_text,
     parse_factor,
     parse_mask,
-    predict,
     sensitivity_report,
 )
 from .presets import load_params_file, load_registry, params_to_text
@@ -82,7 +85,7 @@ def _write_output(args, text: str) -> None:
 
 def _rows_to_text(rows: list[dict], columns: tuple[str, ...], as_json: bool) -> str:
     if as_json:
-        return "".join(json.dumps(row) + "\n" for row in rows)
+        return "".join(json.dumps({c: row[c] for c in columns}) + "\n" for row in rows)
     lines = [",".join(columns)]
     for row in rows:
         rendered = []
@@ -184,10 +187,8 @@ def cmd_beff(args) -> int:
 def cmd_predict(args) -> int:
     params = _load_params(args)
     cfg = _config_from_args(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PredictionRangeWarning)
-        accuracy = predict(params, cfg)
-    exceeds = any(issubclass(w.category, PredictionRangeWarning) for w in caught)
+    accuracy = float(evaluate(params, (cfg,))[0])
+    exceeds = accuracy > 1.0
     if exceeds:
         print(f"warning: predicted accuracy {accuracy!r} exceeds 1", file=sys.stderr)
     if args.json:
@@ -209,7 +210,12 @@ def _fit_options_from(args) -> FitOptions:
             for key, value in block.items():
                 if key not in known:
                     raise ValidationError(f"{args.options_file}: unknown fit option {key!r}")
-                settings[key] = known[key](value)
+                try:
+                    settings[key] = known[key](value)
+                except ValueError:
+                    raise ValidationError(
+                        f"{args.options_file}: {key} = {value!r} is not a {known[key].__name__}"
+                    ) from None
     for key in ("max_iter", "tol_step", "tol_cost", "damping_init"):
         flag = getattr(args, key)
         if flag is not None:
@@ -276,18 +282,20 @@ def _predicate_from(text: str):
         if "=" not in part:
             raise ValidationError(f"--where expects field=value pairs, got {part!r}")
         name, _, value = part.partition("=")
-        name = name.strip()
+        name, value = name.strip(), value.strip()
         if name not in ("model_family", "n_params", "w_base", "c_b", "g"):
             raise ValidationError(f"--where cannot filter on {name!r}")
-        clauses.append((name, value.strip()))
+        if name != "model_family":
+            try:
+                value = float(value)
+            except ValueError:
+                raise ValidationError(f"--where {part!r}: value is not a number") from None
+        clauses.append((name, value))
 
     def keep(record) -> bool:
         for name, value in clauses:
             actual = getattr(record, name)
-            if name == "model_family":
-                if actual != value:
-                    return False
-            elif float(actual) != float(value):
+            if (actual if name == "model_family" else float(actual)) != value:
                 return False
         return True
 
@@ -369,20 +377,16 @@ def _advise_row(point, on_frontier: bool) -> dict:
 def cmd_advise(args) -> int:
     params = _load_params(args)
     space = _space_from_args(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PredictionRangeWarning)
-        points = sweep(params, space, allow_extrapolation=args.allow_extrapolation)
-        frontier = pareto_frontier(points)
+    points = sweep(params, space, allow_extrapolation=args.allow_extrapolation)
+    frontier = pareto_frontier(points)
     frontier_ids = {id(p) for p in frontier}
     if args.target is not None:
-        best = min_cost_config(
-            params, space, args.target, allow_extrapolation=args.allow_extrapolation
-        )
+        best = cheapest_reaching(points, args.target)
         if best is None:
             print(f"no configuration reaches target accuracy {args.target}", file=sys.stderr)
             rows = []
         else:
-            rows = [_advise_row(best, _matches_frontier(best, frontier))]
+            rows = [_advise_row(best, id(best) in frontier_ids)]
     elif args.frontier:
         rows = [_advise_row(p, True) for p in frontier]
     else:
@@ -391,12 +395,17 @@ def cmd_advise(args) -> int:
     return 0
 
 
-def _matches_frontier(point, frontier) -> bool:
-    return any(
-        p.cfg == point.cfg and p.storage_bits == point.storage_bits
-        and p.predicted_accuracy == point.predicted_accuracy
-        for p in frontier
-    )
+def _pinned_sweep(params, space: SearchSpace, **pinned) -> list:
+    """Sweep ``space`` with the named axes pinned; figures extrapolate silently."""
+    pinned_space = dataclasses.replace(space, **{k: (v,) for k, v in pinned.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        return sweep(params, pinned_space, allow_extrapolation=True)
+
+
+def _plot_row(point) -> dict:
+    row = _advise_row(point, on_frontier=False)
+    return {**row, "accuracy": row["predicted_accuracy"]}
 
 
 def cmd_plotdata(args) -> int:
@@ -404,59 +413,33 @@ def cmd_plotdata(args) -> int:
         return _plot_sensitivity(args)
     params = _load_params(args)
     space = _space_from_args(args)
-    fixed_cb = args.fixed_cb
-    rows: list[dict] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PredictionRangeWarning)
-        if args.figure == "beff-curve":
-            columns = ("n_params", "w_base", "g", "c_b", "b_eff", "accuracy")
-            for n in sorted(space.n_params):
-                series = []
-                for w in sorted(space.w_base):
-                    for g in sorted(space.g):
-                        cfg = PtqConfig(n_params=n, w_base=w, c_b=fixed_cb, g=g,
-                                        b_z=0 if space.symmetric else None)
-                        bits = effective_bit_width(cfg).value
-                        series.append({
-                            "n_params": n, "w_base": w, "g": g, "c_b": fixed_cb,
-                            "b_eff": bits, "accuracy": predict(params, cfg),
-                        })
-                series.sort(key=lambda r: r["b_eff"])
-                rows.extend(series)
-        elif args.figure == "cb-curve":
-            columns = ("n_params", "w_base", "g", "c_b", "accuracy")
-            for n in sorted(space.n_params):
-                for w in sorted(space.w_base):
-                    for cb in sorted(space.c_b):
-                        cfg = PtqConfig(n_params=n, w_base=w, c_b=cb, g=args.fixed_g,
-                                        b_z=0 if space.symmetric else None)
-                        rows.append({
-                            "n_params": n, "w_base": w, "g": args.fixed_g, "c_b": cb,
-                            "accuracy": predict(params, cfg),
-                        })
-        elif args.figure == "gs-curve":
-            columns = ("n_params", "w_base", "c_b", "g", "accuracy")
-            for n in sorted(space.n_params):
-                for g in sorted(space.g):
-                    cfg = PtqConfig(n_params=n, w_base=args.fixed_w, c_b=fixed_cb, g=g,
-                                    b_z=0 if space.symmetric else None)
-                    rows.append({
-                        "n_params": n, "w_base": args.fixed_w, "c_b": fixed_cb, "g": g,
-                        "accuracy": predict(params, cfg),
-                    })
-        elif args.figure == "surface-2bit":
-            columns = ("n_params", "g", "c_b", "accuracy")
-            for n in sorted(space.n_params):
-                for g in sorted(space.g):
-                    for cb in sorted(space.c_b):
-                        cfg = PtqConfig(n_params=n, w_base=2, c_b=cb, g=g,
-                                        b_z=0 if space.symmetric else None)
-                        rows.append({
-                            "n_params": n, "g": g, "c_b": cb,
-                            "accuracy": predict(params, cfg),
-                        })
-        else:  # pragma: no cover - argparse choices guard this
-            raise ValidationError(f"unknown figure {args.figure!r}")
+    if args.figure == "beff-curve":
+        columns = ("n_params", "w_base", "g", "c_b", "b_eff", "accuracy")
+        rows = [_plot_row(p) for p in _pinned_sweep(params, space, c_b=args.fixed_cb)]
+        # one series per model size, each in ascending b_eff (stable)
+        per_n = len(rows) // len(space.n_params)
+        rows = [
+            row
+            for start in range(0, len(rows), per_n)
+            for row in sorted(rows[start:start + per_n], key=lambda r: r["b_eff"])
+        ]
+    elif args.figure == "cb-curve":
+        columns = ("n_params", "w_base", "g", "c_b", "accuracy")
+        rows = [_plot_row(p) for p in _pinned_sweep(params, space, g=args.fixed_g)]
+    elif args.figure == "gs-curve":
+        columns = ("n_params", "w_base", "c_b", "g", "accuracy")
+        points = _pinned_sweep(params, space, w_base=args.fixed_w, c_b=args.fixed_cb)
+        rows = [_plot_row(p) for p in points]
+    elif args.figure == "surface-2bit":
+        columns = ("n_params", "g", "c_b", "accuracy")
+        points = _pinned_sweep(params, space, w_base=2)
+        # the sweep's (n, c_b, g) grid order, transposed to (n, g, c_b)
+        order = np.arange(len(points)).reshape(
+            len(space.n_params), len(space.c_b), len(space.g)
+        ).transpose(0, 2, 1).ravel()
+        rows = [_plot_row(points[i]) for i in order]
+    else:  # pragma: no cover - argparse choices guard this
+        raise ValidationError(f"unknown figure {args.figure!r}")
     _write_output(args, _rows_to_text(rows, columns, args.json))
     return 0
 
@@ -472,43 +455,28 @@ def _plot_sensitivity(args) -> int:
         "n_params": args.baseline_n, "w_base": args.fixed_w,
         "c_b": args.fixed_cb, "g": args.fixed_g,
     }
+    # factor -> (the axis it varies, the column shown as its value)
     axes = {
-        Factor.N: ("n_params", sorted(space.n_params)),
-        Factor.C_B: ("c_b", sorted(space.c_b)),
-        Factor.B_EFF: ("w_base", sorted(space.w_base)),
+        Factor.N: ("n_params", "n_params"),
+        Factor.C_B: ("c_b", "c_b"),
+        Factor.B_EFF: ("w_base", "b_eff"),
     }
     columns = ("factor", "value", "task", "accuracy", "relative_gain_pct")
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PredictionRangeWarning)
-        for factor, (field_name, values) in axes.items():
-            if factor not in params_a.mask:
-                continue
-            for label, params in ((params_a.task, params_a), (params_b.task, params_b)):
-                base_accuracy = None
-                for value in values:
-                    fields = dict(baseline)
-                    fields[field_name] = value
-                    cfg = PtqConfig(
-                        n_params=fields["n_params"], w_base=fields["w_base"],
-                        c_b=fields["c_b"], g=fields["g"],
-                        b_z=0 if space.symmetric else None,
-                    )
-                    accuracy = predict(params, cfg)
-                    if base_accuracy is None:
-                        base_accuracy = accuracy
-                    shown = (
-                        effective_bit_width(cfg).value
-                        if factor is Factor.B_EFF
-                        else float(value)
-                    )
-                    rows.append({
-                        "factor": factor.value,
-                        "value": shown,
-                        "task": label,
-                        "accuracy": accuracy,
-                        "relative_gain_pct": 100.0 * (accuracy / base_accuracy - 1.0),
-                    })
+    for factor, (varied, shown) in axes.items():
+        if factor not in params_a.mask:
+            continue
+        pinned = {k: v for k, v in baseline.items() if k != varied}
+        for params in (params_a, params_b):
+            series = [_plot_row(p) for p in _pinned_sweep(params, space, **pinned)]
+            for row in series:
+                rows.append({
+                    "factor": factor.value,
+                    "value": float(row[shown]),
+                    "task": params.task,
+                    "accuracy": row["accuracy"],
+                    "relative_gain_pct": 100.0 * (row["accuracy"] / series[0]["accuracy"] - 1.0),
+                })
     _write_output(args, _rows_to_text(rows, columns, args.json))
     return 0
 

@@ -5,9 +5,9 @@ The on-disk format is CSV with the exact header
 
     model_family,n_params,w_base,c_b,g,benchmark,task_category,accuracy
 
-(UTF-8, ``.`` decimal point, accuracy as a fraction in [0, 1]). A JSON-lines
-mirror with identical field names is accepted interchangeably; ``load_dataset``
-sniffs the format.
+(UTF-8 with an optional byte-order mark, ``.`` decimal point, accuracy as a
+fraction in [0, 1]). A JSON-lines mirror with identical field names is
+accepted interchangeably; ``load_dataset`` sniffs the format.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .advisor import SearchSpace
-from .errors import DatasetError, PredictionRangeWarning, ValidationError
+from .errors import DatasetError, ValidationError
 from .fitting import Observation
 from .model import (
     GENERAL,
@@ -30,7 +30,7 @@ from .model import (
     UTILIZATION,
     PtqConfig,
     ScalingLawParams,
-    predict,
+    evaluate,
 )
 
 CSV_HEADER = "model_family,n_params,w_base,c_b,g,benchmark,task_category,accuracy"
@@ -218,14 +218,22 @@ def _finish_load(rows: list[tuple[int, ExperimentRecord]], source: str) -> Exper
     )
 
 
+def _read_text(path, chars: int = -1) -> str:
+    """The file's text (its first ``chars`` characters if given), minus a UTF-8 BOM."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read(chars)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_csv(path) -> ExperimentDataset:
     """Load and validate a CSV dataset.
 
     Every error names the 1-based physical line (header is line 1) and the
     offending column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file", row=1)
     header = lines[0].strip()
@@ -252,21 +260,20 @@ def load_csv(path) -> ExperimentDataset:
 def load_jsonl(path) -> ExperimentDataset:
     """Load the JSON-lines mirror format (one object per line, same fields)."""
     rows: list[tuple[int, ExperimentRecord]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"row {lineno}: invalid JSON: {exc}", row=lineno) from None
-            missing = [c for c in _COLUMNS if c not in payload]
-            if missing:
-                raise DatasetError(
-                    f"row {lineno}: missing fields {missing}", row=lineno, column=missing[0]
-                )
-            values = {c: str(payload[c]) for c in _COLUMNS}
-            rows.append((lineno, _parse_row(values, lineno)))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"row {lineno}: invalid JSON: {exc}", row=lineno) from None
+        missing = [c for c in _COLUMNS if c not in payload]
+        if missing:
+            raise DatasetError(
+                f"row {lineno}: missing fields {missing}", row=lineno, column=missing[0]
+            )
+        values = {c: str(payload[c]) for c in _COLUMNS}
+        rows.append((lineno, _parse_row(values, lineno)))
     if not rows:
         raise DatasetError(f"{path}: no data rows", row=1)
     return _finish_load(rows, str(path))
@@ -274,9 +281,7 @@ def load_jsonl(path) -> ExperimentDataset:
 
 def load_dataset(path) -> ExperimentDataset:
     """Load a dataset, sniffing CSV vs JSON-lines from the first character."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.read(1)
-    return load_jsonl(path) if head == "{" else load_csv(path)
+    return load_jsonl(path) if _read_text(path, 1) == "{" else load_csv(path)
 
 
 def dataset_to_csv(ds: ExperimentDataset) -> str:
@@ -388,8 +393,8 @@ def generate_synthetic(
     clamped to [0, 1]; the clamp count lands in ``provenance["clamped_rows"]``.
     The same seed always produces a byte-identical dataset.
     """
-    if noise_sigma < 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     names = tuple(benchmarks) if benchmarks is not None else (
         MEMORIZATION_BENCHMARKS + UTILIZATION_BENCHMARKS
     )
@@ -401,31 +406,27 @@ def generate_synthetic(
         raise ValidationError(
             f"no task category known for benchmarks {unknown}; pass a categories map"
         )
-    rng = np.random.default_rng(seed)
-    clamped = 0
-    records = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PredictionRangeWarning)
-        for cfg in grid.configs():
-            clean = predict(params, cfg)
-            for benchmark in names:
-                accuracy = clean + rng.normal(0.0, noise_sigma) if noise_sigma > 0 else clean
-                if accuracy < 0.0:
-                    accuracy, clamped = 0.0, clamped + 1
-                elif accuracy > 1.0:
-                    accuracy, clamped = 1.0, clamped + 1
-                records.append(
-                    ExperimentRecord(
-                        model_family=model_family,
-                        n_params=cfg.n_params,
-                        w_base=cfg.w_base,
-                        c_b=cfg.c_b,
-                        g=cfg.g,
-                        benchmark=benchmark,
-                        task_category=category_map[benchmark],
-                        accuracy=float(accuracy),
-                    )
-                )
+    configs = grid.configs()
+    # One draw per (configuration, benchmark) in row-major order: the same
+    # stream as one scalar draw per record.
+    noise = np.random.default_rng(seed).normal(0.0, noise_sigma, (len(configs), len(names)))
+    accuracies = evaluate(params, configs)[:, None] + noise
+    clamped = int(np.count_nonzero((accuracies < 0.0) | (accuracies > 1.0)))
+    accuracies = np.clip(accuracies, 0.0, 1.0).tolist()
+    records = [
+        ExperimentRecord(
+            model_family=model_family,
+            n_params=cfg.n_params,
+            w_base=cfg.w_base,
+            c_b=cfg.c_b,
+            g=cfg.g,
+            benchmark=benchmark,
+            task_category=category_map[benchmark],
+            accuracy=accuracy,
+        )
+        for cfg, row in zip(configs, accuracies)
+        for benchmark, accuracy in zip(names, row)
+    ]
     return ExperimentDataset(
         records=tuple(records),
         provenance={

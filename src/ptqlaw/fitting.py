@@ -36,7 +36,8 @@ from .model import (
     Factor,
     PtqConfig,
     ScalingLawParams,
-    factor_value,
+    evaluate,
+    factor_columns,
 )
 
 # Keep the warm-start constant strictly positive so its log stays finite.
@@ -172,13 +173,7 @@ class _Design(NamedTuple):
 
 def _build_design(problem: FitProblem) -> _Design:
     y = np.array([obs.accuracy for obs in problem.observations], dtype=float)
-    columns: dict[Factor, np.ndarray] = {}
-    for factor in FACTOR_ORDER:
-        if factor in problem.mask:
-            columns[factor] = np.array(
-                [factor_value(factor, obs.config) for obs in problem.observations],
-                dtype=float,
-            )
+    columns = factor_columns([obs.config for obs in problem.observations], problem.mask)
     fixed_term = np.ones_like(y)
     for factor, exponent in problem.fixed.items():
         fixed_term = fixed_term * columns[factor] ** exponent
@@ -391,22 +386,10 @@ def goodness_of_fit(
     """
     observations = [o if isinstance(o, Observation) else Observation(*o) for o in observations]
     y = np.array([obs.accuracy for obs in observations], dtype=float)
-    predictions = np.array(
-        [_predict_quiet(params, obs.config) for obs in observations], dtype=float
-    )
+    predictions = evaluate(params, [obs.config for obs in observations])
     sse = float(np.sum((y - predictions) ** 2))
     p = n_free_params if n_free_params is not None else 1 + len(params.mask)
     return _r2_from_sse(y, sse, p)
-
-
-def _predict_quiet(params: ScalingLawParams, cfg: PtqConfig) -> float:
-    # predict() without the out-of-range warning; residual statistics must not
-    # spam warnings for every extreme prediction.
-    accuracy = params.c
-    for factor in FACTOR_ORDER:
-        if factor in params.mask:
-            accuracy *= factor_value(factor, cfg) ** params.exponent(factor)
-    return accuracy
 
 
 def prediction_jacobian(params: ScalingLawParams, cfg: PtqConfig) -> np.ndarray:
@@ -416,11 +399,9 @@ def prediction_jacobian(params: ScalingLawParams, cfg: PtqConfig) -> np.ndarray:
     closed forms are ``df/dc = f / c`` and ``df/de_k = f * ln(t_k)`` with
     ``t_k`` the transformed factor value.
     """
-    value = _predict_quiet(params, cfg)
-    partials = [value / params.c]
-    for factor in params.masked_factors:
-        partials.append(value * math.log(factor_value(factor, cfg)))
-    return np.array(partials)
+    value = float(evaluate(params, (cfg,))[0])
+    columns = factor_columns((cfg,), params.mask).values()
+    return np.array([value / params.c] + [value * math.log(col[0]) for col in columns])
 
 
 def fit_report_extras(result: FitResult) -> dict[str, object]:

@@ -8,9 +8,11 @@ The central quantities are:
   per-group metadata widths for scale and zero-point).
 * ``effective_bit_width`` -- the true per-parameter storage cost: the nominal
   width plus the group metadata amortized over the group.
-* ``ScalingLawParams`` / ``predict`` -- accuracy modeled as
+* ``ScalingLawParams`` / ``evaluate`` -- accuracy modeled as
   ``c * n^alpha * log2(c_b)^beta * g^gamma * log2(b_eff)^delta``,
-  where any factor can be excluded (its term is pinned to 1).
+  where any factor can be excluded (its term is pinned to 1). ``evaluate``
+  computes the law for a sequence of configurations at once and is the only
+  place it is computed; ``predict`` is its one-configuration form.
 
 Exponents act as elasticities: the proportional change in accuracy per
 proportional change in the factor. ``sensitivity_report`` compares two fitted
@@ -27,6 +29,10 @@ import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from operator import attrgetter
+from typing import Collection, Sequence
+
+import numpy as np
 
 from .errors import DomainError, PredictionRangeWarning, ValidationError
 
@@ -190,7 +196,11 @@ def effective_bits(w_base: int, g: int, b_s: int = 16, b_z: int | None = None) -
     _require(g >= 1, f"g must be >= 1 (group size 0 would divide by zero), got {g}")
     _require(b_s >= 0, f"b_s must be >= 0, got {b_s}")
     _require(b_z >= 0, f"b_z must be >= 0, got {b_z}")
-    return EffectiveBitWidth(w_base + (b_s + b_z) / g)
+    return EffectiveBitWidth(_b_eff(w_base, g, b_s, b_z))
+
+
+def _b_eff(w_base: int, g: int, b_s: int, b_z: int) -> float:
+    return w_base + (b_s + b_z) / g
 
 
 def effective_bit_width(cfg: PtqConfig) -> EffectiveBitWidth:
@@ -238,27 +248,72 @@ class ScalingLawParams:
         return tuple(f for f in FACTOR_ORDER if f in self.mask)
 
 
-def factor_value(factor: Factor, cfg: PtqConfig) -> float:
-    """The transformed value a factor contributes to the law's base.
+#: Per factor: its key on a configuration, and the base its exponent acts on
+#: as a function of that key. Model size and group size enter raw;
+#: calibration size and effective bit-width enter through log2.
+_FACTOR_BASES = {
+    Factor.N: (attrgetter("n_params"), float),
+    Factor.C_B: (attrgetter("c_b"), log2),
+    Factor.G: (attrgetter("g"), float),
+    Factor.B_EFF: (attrgetter("w_base", "g", "b_s", "b_z"), lambda key: log2(_b_eff(*key))),
+}
 
-    Model size and group size enter raw; calibration size and effective
-    bit-width enter through log2.
+
+def _factor_bases(factor: Factor, configs: Sequence[PtqConfig]) -> tuple[list[float], np.ndarray]:
+    """Bases of ``factor``, one per distinct key, and each row's index into them.
+
+    Raises:
+        DomainError: effective bit-width <= 1; the first such row is named.
     """
-    if factor is Factor.N:
-        return cfg.n_params
-    if factor is Factor.C_B:
-        if cfg.c_b <= 1:
-            raise DomainError(f"log2(c_b) requires c_b > 1, got {cfg.c_b}")
-        return log2(cfg.c_b)
-    if factor is Factor.G:
-        return float(cfg.g)
-    b_eff = effective_bit_width(cfg).value
-    if b_eff <= 1.0:
-        raise DomainError(
-            f"log2(b_eff) requires b_eff > 1, got {b_eff!r} "
-            f"(w_base={cfg.w_base}, g={cfg.g}, b_s={cfg.b_s}, b_z={cfg.b_z})"
-        )
-    return log2(b_eff)
+    key, base = _FACTOR_BASES[factor]
+    slots: dict = {}
+    rows = np.array([slots.setdefault(key(cfg), len(slots)) for cfg in configs], dtype=np.intp)
+    if factor is Factor.B_EFF:
+        for slot, fields in enumerate(slots):
+            b_eff = _b_eff(*fields)
+            if b_eff <= 1.0:
+                cfg = configs[int(np.argmax(rows == slot))]
+                raise DomainError(
+                    f"log2(b_eff) requires b_eff > 1, got {b_eff!r} at config "
+                    f"(n={cfg.n_params:g}, w_base={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}, "
+                    f"b_s={cfg.b_s}, b_z={cfg.b_z})"
+                )
+    return [base(k) for k in slots], rows
+
+
+def factor_columns(configs: Sequence[PtqConfig], mask: Collection[Factor]) -> dict[Factor, np.ndarray]:
+    """Per-row base of each factor in ``mask`` (the value its exponent acts on).
+
+    Columns follow the canonical factor order.
+    """
+    columns = {}
+    for factor in FACTOR_ORDER:
+        if factor in mask:
+            bases, rows = _factor_bases(factor, configs)
+            columns[factor] = np.array(bases, dtype=float)[rows]
+    return columns
+
+
+def evaluate(params: ScalingLawParams, configs: Sequence[PtqConfig]) -> np.ndarray:
+    """Predicted accuracy of every configuration under ``params``, as an array.
+
+    Row ``i`` is ``c`` times each masked-in factor's term for ``configs[i]``,
+    multiplied in canonical factor order. Each term is the Python float
+    ``base ** exponent``, taken once per distinct base, so every row equals
+    the same product computed one configuration at a time. Values are not
+    clamped and not warned about (``predict`` warns above 1).
+
+    Raises:
+        DomainError: a masked-in effective bit-width is <= 1; the first
+            offending configuration is named.
+    """
+    values = np.full(len(configs), params.c, dtype=float)
+    with np.errstate(over="ignore"):
+        for factor in params.masked_factors:
+            bases, rows = _factor_bases(factor, configs)
+            exponent = params.exponent(factor)
+            values = values * np.array([b ** exponent for b in bases], dtype=float)[rows]
+    return values
 
 
 def predict(params: ScalingLawParams, cfg: PtqConfig) -> float:
@@ -267,16 +322,14 @@ def predict(params: ScalingLawParams, cfg: PtqConfig) -> float:
     The result is ``c`` times the product of each masked-in factor's term;
     0.3607 means 36.07% accuracy. The value is not clamped: the law is an
     empirical fit with no ceiling, so predictions above 1 are returned as-is
-    and reported with a ``PredictionRangeWarning``.
+    and reported with a ``PredictionRangeWarning``. This is ``evaluate`` on
+    one configuration.
 
     Raises:
         DomainError: a masked-in logarithmic factor has argument <= 1.
         ValidationError: the configuration is invalid.
     """
-    accuracy = params.c
-    for factor in FACTOR_ORDER:
-        if factor in params.mask:
-            accuracy *= factor_value(factor, cfg) ** params.exponent(factor)
+    accuracy = float(evaluate(params, (cfg,))[0])
     if accuracy > 1.0:
         warnings.warn(
             f"predicted accuracy {accuracy!r} exceeds 1; the fitted law has no ceiling",

@@ -87,17 +87,17 @@ class TestSweep:
     def test_in_range_points_not_stamped(self, opt_points):
         assert not any(p.extrapolation for p in opt_points)
 
-    def test_domain_error_names_the_config(self, registry, monkeypatch):
-        import ptqlaw.advisor as advisor_module
+    def test_domain_error_names_the_config(self, registry):
         from ptqlaw import DomainError
 
-        def explode(params, cfg):
-            raise DomainError("log argument out of range")
-
-        monkeypatch.setattr(advisor_module, "predict", explode)
-        space = SearchSpace(n_params=(6.7e9,), w_base=(4,), c_b=(128,), g=(64,))
-        with pytest.raises(DomainError, match=r"n=6\.7e\+09.*g=64"):
-            sweep(registry.get("opt-general"), space)
+        # 1 + 16 / 10**18 rounds to exactly 1.0, so log2(b_eff) is 0
+        space = SearchSpace(
+            n_params=(6.7e9,), w_base=(1,), c_b=(128,), g=(10**18,), symmetric=True
+        )
+        with pytest.warns(ExtrapolationWarning), pytest.raises(
+            DomainError, match=r"n=6\.7e\+09.*g=1000000000000000000"
+        ):
+            sweep(registry.get("opt-general"), space, allow_extrapolation=True)
 
 
 class TestParetoFrontier:

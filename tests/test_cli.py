@@ -189,6 +189,30 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["iterations"] > 1
 
+    def test_where_value_not_a_number_exits_2(self, capsys, fixture_csv_path):
+        code, out, err = run_cli(capsys, "fit", str(fixture_csv_path), "--where", "w_base=abc")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "w_base=abc" in err
+        assert len(err.splitlines()) == 1
+
+    def test_options_file_bad_value_exits_2(self, capsys, tmp_path, fixture_csv_path):
+        options = tmp_path / "fit.options"
+        options.write_text("max_iter = abc\n")
+        code, out, err = run_cli(
+            capsys, "fit", str(fixture_csv_path), "--options-file", str(options)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "max_iter" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_dataset_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xff\xfe" + b"model_family,n_params\n")
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "latin.csv" in err
+        assert len(err.splitlines()) == 1
+
     def test_degenerate_mask_exits_1(self, capsys, fixture_csv_path):
         code, _, err = run_cli(
             capsys, "fit", str(fixture_csv_path), "--where", "c_b=128",
@@ -372,6 +396,14 @@ class TestSynth:
             capsys, "synth", "--preset", "opt-general", "--noise-sigma", "0.05", "--seed", "12"
         )
         assert third != first
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, capsys, sigma):
+        code, out, err = run_cli(
+            capsys, "synth", "--preset", "opt-general", "--noise-sigma", sigma
+        )
+        assert (code, out) == (2, "")
+        assert "noise_sigma" in err
 
     def test_jsonl_output(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ptqlaw import (
@@ -143,6 +145,22 @@ class TestRoundTrips:
 
     def test_load_dataset_sniffs_csv(self, fixture_csv_path):
         assert load_dataset(fixture_csv_path) == load_csv(fixture_csv_path)
+
+    @pytest.mark.parametrize("loader", [load_csv, load_jsonl, load_dataset])
+    def test_non_utf8_file_is_a_dataset_error(self, tmp_path, loader):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xff\xfe" + CSV_HEADER.encode())
+        with pytest.raises(DatasetError, match="latin.csv"):
+            loader(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        ds = ExperimentDataset((record(), record(benchmark="winogrande", accuracy=0.25)))
+        bom = b"\xef\xbb\xbf"
+        csv_path, jsonl_path = tmp_path / "ds.csv", tmp_path / "ds.jsonl"
+        csv_path.write_bytes(bom + dataset_to_csv(ds).encode())
+        jsonl_path.write_bytes(bom + dataset_to_jsonl(ds).encode())
+        assert load_csv(csv_path) == load_dataset(csv_path) == ds
+        assert load_jsonl(jsonl_path) == load_dataset(jsonl_path) == ds
 
     def test_jsonl_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -292,6 +310,11 @@ class TestGenerateSynthetic:
     def test_negative_sigma_rejected(self, registry, opt_grid):
         with pytest.raises(ValidationError):
             generate_synthetic(registry.get("opt-general"), opt_grid, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, registry, opt_grid, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            generate_synthetic(registry.get("opt-general"), opt_grid, noise_sigma=sigma)
 
     def test_unknown_benchmark_needs_category(self, registry, opt_grid):
         with pytest.raises(ValidationError, match="category"):

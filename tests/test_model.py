@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqlaw import (
     ALL_FACTORS,
+    FACTOR_ORDER,
     DomainError,
     Factor,
     PredictionRangeWarning,
@@ -15,6 +19,7 @@ from ptqlaw import (
     ValidationError,
     effective_bit_width,
     effective_bits,
+    evaluate,
     format_law,
     log2,
     mask_to_text,
@@ -224,6 +229,70 @@ class TestPredict:
         cfg = PtqConfig(n_params=1e9, w_base=1, c_b=128, g=64, b_s=0, b_z=0)
         with pytest.raises(DomainError):
             predict(params, cfg)
+
+
+def scalar_law(params, cfg):
+    """The law one configuration at a time, written out independently."""
+    ln2 = math.log(2.0)
+    bases = {
+        Factor.N: cfg.n_params,
+        Factor.C_B: math.log(cfg.c_b) / ln2,
+        Factor.G: float(cfg.g),
+        Factor.B_EFF: math.log(cfg.w_base + (cfg.b_s + cfg.b_z) / cfg.g) / ln2,
+    }
+    value = params.c
+    for factor in FACTOR_ORDER:
+        if factor in params.mask:
+            value *= bases[factor] ** params.exponent(factor)
+    return value
+
+
+PRESET_NAMES = (
+    "opt-general", "opt-n-beff", "opt-n-g-beff", "opt-n-cb-beff", "opt-mem",
+    "opt-util", "llama2-general", "llama2-mem", "llama2-util", "opt-2bit",
+)
+
+
+class TestEvaluate:
+    # Axis values reach beyond the fitted ranges (n 125M-13B, c_b 8-4096,
+    # g 32-1024, 2-8 bits) on both sides; lists may repeat values.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        preset=st.sampled_from(PRESET_NAMES),
+        n_params=st.lists(st.floats(min_value=1.0, max_value=1e13), min_size=1, max_size=4),
+        w_base=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+        c_b=st.lists(st.integers(2, 1 << 20), min_size=1, max_size=3),
+        g=st.lists(st.integers(1, 1 << 20), min_size=1, max_size=3),
+        b_s=st.integers(0, 32),
+        symmetric=st.booleans(),
+    )
+    def test_equals_scalar_law_exactly(self, registry, preset, n_params, w_base, c_b, g,
+                                       b_s, symmetric):
+        params = registry.get(preset)
+        configs = [
+            PtqConfig(n_params=n, w_base=w, c_b=cb, g=size, b_s=b_s,
+                      b_z=0 if symmetric else None)
+            for n, w, cb, size in itertools.product(n_params, w_base, c_b, g)
+        ]
+        configs = [c for c in configs if c.w_base + (c.b_s + c.b_z) / c.g > 1.0]
+        values = evaluate(params, configs)
+        assert values.tolist() == [scalar_law(params, cfg) for cfg in configs]
+
+    def test_names_the_first_unit_beff_config(self):
+        params = ScalingLawParams(
+            task="custom", c=0.1, delta=0.5, mask=frozenset({Factor.B_EFF})
+        )
+        configs = [
+            PtqConfig(n_params=n, w_base=w, c_b=128, g=64, b_s=0, b_z=0)
+            for n, w in ((1e9, 4), (2e9, 1), (3e9, 1))
+        ]
+        with pytest.raises(DomainError, match=r"n=2e\+09, w_base=1"):
+            evaluate(params, configs)
+
+    def test_b_eff_outside_the_mask_is_not_checked(self):
+        params = ScalingLawParams(task="custom", c=0.1, alpha=0.5, mask=frozenset({Factor.N}))
+        cfg = PtqConfig(n_params=4.0, w_base=1, c_b=128, g=64, b_s=0, b_z=0)
+        assert evaluate(params, [cfg]).tolist() == [0.1 * 4.0 ** 0.5]
 
 
 class TestSensitivityReport:
