@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ExtrapolationWarning, ValidationError
 from .model import (
@@ -31,12 +33,25 @@ FITTED_RANGES: dict[Factor, tuple[float, float]] = {
 }
 
 
+class _Grid(NamedTuple):
+    """A space's grid points and what every sweep needs of each, in grid order."""
+
+    configs: tuple[PtqConfig, ...]
+    storage_bits: tuple[float, ...]
+    outside: tuple[tuple[str, ...], ...]  # fields outside FITTED_RANGES
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Candidate lists for each configuration axis.
 
     ``symmetric`` selects the zero-point convention for every generated
     configuration (b_z = 0 rather than b_z = w_base).
+
+    The grid (its configurations, their storage costs and range checks) is
+    built once per space, on first use, and reused by every later sweep of
+    it. It is not a field: equality, hashing, repr and pickling see only the
+    candidate lists.
     """
 
     n_params: tuple[float, ...]
@@ -51,8 +66,8 @@ class SearchSpace:
             if not values:
                 raise ValidationError(f"search space list {name} is empty")
             object.__setattr__(self, name, values)
-        # Validate every candidate combination cheaply via one probe config
-        # per axis extreme; full validation happens as configs are built.
+        # Bound each axis here; each grid point is fully validated by
+        # PtqConfig when the grid is built.
         for n in self.n_params:
             if not n >= 1:
                 raise ValidationError(f"n_params candidate must be >= 1, got {n!r}")
@@ -66,23 +81,34 @@ class SearchSpace:
             if not g >= 1:
                 raise ValidationError(f"g candidate must be >= 1, got {g!r}")
 
+    @cached_property
+    def _grid(self) -> _Grid:
+        b_z = 0 if self.symmetric else None
+        configs = tuple(
+            PtqConfig(n_params=n, w_base=w, c_b=cb, g=g, b_z=b_z)
+            for n in sorted(self.n_params)
+            for w in sorted(self.w_base)
+            for cb in sorted(self.c_b)
+            for g in sorted(self.g)
+        )
+        return _Grid(
+            configs=configs,
+            storage_bits=tuple(cfg.n_params * effective_bit_width(cfg).value for cfg in configs),
+            outside=tuple(_out_of_range_fields(cfg) for cfg in configs),
+        )
+
+    def __getstate__(self) -> dict:
+        # The cached grid is derived from the fields; pickle the fields only.
+        state = dict(self.__dict__)
+        state.pop("_grid", None)
+        return state
+
     def configs(self) -> tuple[PtqConfig, ...]:
-        """All grid points, ordered by ascending (n_params, w_base, c_b, g)."""
-        built = []
-        for n in sorted(self.n_params):
-            for w in sorted(self.w_base):
-                for cb in sorted(self.c_b):
-                    for g in sorted(self.g):
-                        built.append(
-                            PtqConfig(
-                                n_params=n,
-                                w_base=w,
-                                c_b=cb,
-                                g=g,
-                                b_z=0 if self.symmetric else None,
-                            )
-                        )
-        return tuple(built)
+        """All grid points, ordered by ascending (n_params, w_base, c_b, g).
+
+        The tuple is built on the first call and the same one returned after.
+        """
+        return self._grid.configs
 
     def __len__(self) -> int:
         return len(self.n_params) * len(self.w_base) * len(self.c_b) * len(self.g)
@@ -117,14 +143,14 @@ class ParetoPoint:
             raise ValidationError(f"storage_bits must be positive, got {self.storage_bits!r}")
 
 
-def _out_of_range_fields(cfg: PtqConfig) -> list[str]:
+def _out_of_range_fields(cfg: PtqConfig) -> tuple[str, ...]:
     checks = (
         ("n_params", cfg.n_params, FITTED_RANGES[Factor.N]),
         ("w_base", cfg.w_base, FITTED_RANGES[Factor.B_EFF]),
         ("c_b", cfg.c_b, FITTED_RANGES[Factor.C_B]),
         ("g", cfg.g, FITTED_RANGES[Factor.G]),
     )
-    return [name for name, value, (lo, hi) in checks if not lo <= value <= hi]
+    return tuple(name for name, value, (lo, hi) in checks if not lo <= value <= hi)
 
 
 def sweep(
@@ -139,19 +165,23 @@ def sweep(
     which case they are stamped and a single ``ExtrapolationWarning`` is
     emitted.
 
+    The grid, its storage costs and its range checks come from the space,
+    which builds them once; repeated sweeps of one space (for several
+    presets, or by ``min_cost_config``) pay only for ``evaluate``.
+
     Raises:
         ValidationError: an out-of-range configuration without the
             extrapolation flag, or an invalid space.
         DomainError: from ``evaluate``, naming the offending configuration.
     """
-    configs = space.configs()
-    outside = [_out_of_range_fields(cfg) for cfg in configs]
-    first = next((i for i, fields in enumerate(outside) if fields), None)
+    configs = space.configs()  # builds the grid on the space's first sweep
+    grid = space._grid
+    first = next((i for i, fields in enumerate(grid.outside) if fields), None)
     if first is not None:
         if not allow_extrapolation:
             cfg = configs[first]
             raise ValidationError(
-                f"{', '.join(outside[first])} outside the fitted ranges for config "
+                f"{', '.join(grid.outside[first])} outside the fitted ranges for config "
                 f"(n={cfg.n_params:g}, w={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}); "
                 f"pass allow_extrapolation to evaluate anyway"
             )
@@ -165,10 +195,12 @@ def sweep(
         ParetoPoint(
             cfg=cfg,
             predicted_accuracy=accuracy,
-            storage_bits=cfg.n_params * effective_bit_width(cfg).value,
+            storage_bits=storage_bits,
             extrapolation=bool(fields),
         )
-        for cfg, accuracy, fields in zip(configs, accuracies, outside)
+        for cfg, accuracy, storage_bits, fields in zip(
+            configs, accuracies, grid.storage_bits, grid.outside
+        )
     ]
 
 

@@ -217,7 +217,11 @@ def warm_start(problem: FitProblem) -> ScalingLawParams:
         DegenerateDesignError: a free factor is constant across observations,
             or the design is otherwise rank deficient.
     """
-    design = _build_design(problem)
+    return _warm_start(problem, _build_design(problem))
+
+
+def _warm_start(problem: FitProblem, design: _Design) -> ScalingLawParams:
+    """``warm_start`` on the already built design of ``problem``."""
     free = problem.free_factors
     target = np.log(design.y) - np.log(design.fixed_term)
     feature_cols = []
@@ -262,7 +266,7 @@ def fit_nls(problem: FitProblem, options: FitOptions | None = None) -> FitResult
     options = options or FitOptions()
     design = _build_design(problem)
     free = problem.free_factors
-    start = warm_start(problem)
+    start = _warm_start(problem, design)
     theta = np.empty(1 + len(free))
     theta[0] = start.c
     for position, factor in enumerate(free, start=1):

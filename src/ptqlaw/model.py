@@ -105,6 +105,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _as_whole(value, name: str) -> int:
     """Coerce an integer-valued number to int, rejecting fractional values."""
+    if type(value) is int:  # the common case; bool is a subclass, not int itself
+        return value
     if isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got bool")
     if isinstance(value, numbers.Integral):
@@ -204,8 +206,12 @@ def _b_eff(w_base: int, g: int, b_s: int, b_z: int) -> float:
 
 
 def effective_bit_width(cfg: PtqConfig) -> EffectiveBitWidth:
-    """Effective bit-width of a configuration (see ``effective_bits``)."""
-    return effective_bits(cfg.w_base, cfg.g, cfg.b_s, cfg.b_z)
+    """Effective bit-width of a configuration (see ``effective_bits``).
+
+    ``PtqConfig`` has already validated these fields, so they are not
+    checked again.
+    """
+    return EffectiveBitWidth(_b_eff(cfg.w_base, cfg.g, cfg.b_s, cfg.b_z))
 
 
 @dataclass(frozen=True)

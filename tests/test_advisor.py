@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -98,6 +99,45 @@ class TestSweep:
             DomainError, match=r"n=6\.7e\+09.*g=1000000000000000000"
         ):
             sweep(registry.get("opt-general"), space, allow_extrapolation=True)
+
+
+class TestGridReuse:
+    def test_configs_built_once(self):
+        space = default_space()
+        assert space.configs() is space.configs()
+
+    def test_repeated_sweeps_agree(self, registry):
+        params = registry.get("opt-general")
+        space = default_space()
+        first = sweep(params, space)
+        assert sweep(params, space) == first
+        assert sweep(params, default_space()) == first
+
+    def test_second_preset_gets_its_own_accuracies(self, registry):
+        space = default_space()
+        sweep(registry.get("opt-general"), space)
+        mem = sweep(registry.get("llama2-mem"), space)
+        assert mem == sweep(registry.get("llama2-mem"), default_space())
+
+    def test_swept_space_is_a_plain_value(self, registry):
+        swept, fresh = default_space(), default_space()
+        sweep(registry.get("opt-general"), swept)
+        assert swept == fresh
+        assert hash(swept) == hash(fresh)
+        assert repr(swept) == repr(fresh)
+        assert pickle.dumps(swept) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(swept))
+        assert restored == fresh
+        assert restored.configs() == fresh.configs()
+
+    def test_unbuildable_grid_raises_on_every_sweep(self, registry):
+        # 2.5 passes the axis bound but no PtqConfig accepts it
+        space = SearchSpace(n_params=(1e9,), w_base=(2.5,), c_b=(128,), g=(64,))
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="w_base"):
+                sweep(registry.get("opt-general"), space)
+        with pytest.raises(ValidationError, match="w_base"):
+            space.configs()
 
 
 class TestParetoFrontier:

@@ -94,6 +94,23 @@ class TestWarmStart:
 
 
 class TestFitNls:
+    def test_builds_the_design_once(self, monkeypatch, registry, opt_grid):
+        from ptqlaw import fitting
+
+        built = []
+        original = fitting._build_design
+
+        def counting(problem):
+            built.append(problem)
+            return original(problem)
+
+        problem = FitProblem(noiseless_observations(registry.get("opt-general"), opt_grid),
+                             ALL_FACTORS)
+        monkeypatch.setattr(fitting, "_build_design", counting)
+        result = fit_nls(problem)
+        assert len(built) == 1 and built[0] is problem
+        assert result.converged
+
     def test_noiseless_recovery(self, opt_grid):
         truth = ScalingLawParams(
             task="general", c=0.03, alpha=0.10, beta=0.07, gamma=-0.004, delta=0.32

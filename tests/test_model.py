@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,60 @@ class TestEffectiveBitWidth:
         cfg = PtqConfig(n_params=1e9, w_base=2, c_b=128, g=32, b_z=2)
         assert effective_bit_width(cfg).value == 2.5625
         assert float(effective_bit_width(cfg)) == 2.5625
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w_base=st.integers(1, 16),
+        g=st.integers(1, 1 << 30),
+        b_s=st.integers(0, 64),
+        b_z=st.one_of(st.none(), st.just(0), st.integers(0, 16)),
+    )
+    def test_config_wrapper_equals_raw_fields(self, w_base, g, b_s, b_z):
+        cfg = PtqConfig(n_params=1e9, w_base=w_base, c_b=128, g=g, b_s=b_s, b_z=b_z)
+        expected = effective_bits(w_base, g, b_s, b_z).value
+        assert effective_bit_width(cfg).value == expected
+        assert effective_bits(cfg.w_base, cfg.g, cfg.b_s, cfg.b_z).value == expected
+
+
+def _as_whole_reference(value, name):
+    """The coercion as it was before its plain-int fast path."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got bool")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be a whole number, got {value!r}")
+
+
+def _outcome(coerce, value):
+    try:
+        result = coerce(value, "field")
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return ("ok", type(result), result)
+
+
+class TestAsWhole:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(
+            st.integers(),
+            st.booleans(),
+            st.integers(-(2**63), 2**63 - 1).map(np.int64),
+            st.integers(0, 255).map(np.uint8),
+            st.booleans().map(np.bool_),
+            st.integers(-(10**6), 10**6).map(float),
+            st.floats(),
+            st.floats().map(np.float64),
+            st.fractions(),
+            st.text(max_size=5),
+        )
+    )
+    def test_matches_the_reference(self, value):
+        from ptqlaw.model import _as_whole
+
+        assert _outcome(_as_whole, value) == _outcome(_as_whole_reference, value)
 
 
 class TestRounding:
