@@ -17,7 +17,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +36,14 @@ from .model import (
 
 CSV_HEADER = "model_family,n_params,w_base,c_b,g,benchmark,task_category,accuracy"
 _COLUMNS = tuple(CSV_HEADER.split(","))
+#: The grid columns, in file order, with how each one's text is parsed.
+_GRID_PARSERS = (
+    ("n_params", float, "number"),
+    ("w_base", int, "integer"),
+    ("c_b", int, "integer"),
+    ("g", int, "integer"),
+)
+_TEXT_COLUMNS = ("model_family", "benchmark", "task_category")
 
 #: The two cloze-style factual-recall probes.
 MEMORIZATION_BENCHMARKS = ("lama-conceptnet", "lama-squad")
@@ -49,9 +58,25 @@ DEFAULT_BENCHMARK_CATEGORIES: dict[str, str] = {
 _CATEGORIES = (MEMORIZATION, UTILIZATION)
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _checked_n_params(n_params, w_base, c_b, g) -> float:
+    """``n_params`` as ``PtqConfig`` stores it, once the grid fields pass its checks.
+
+    A dataset repeats each configuration once per benchmark, so each distinct
+    (and, with ``typed``, same-typed) combination is checked once.
+    """
+    return PtqConfig(n_params=n_params, w_base=w_base, c_b=c_b, g=g).n_params
+
+
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One measured benchmark accuracy for one quantization configuration."""
+    """One measured benchmark accuracy for one quantization configuration.
+
+    The checks here are the only record-level validation: the loaders parse
+    text and leave every range and category check to this constructor. The
+    grid fields obey the ``PtqConfig`` invariants, checked once per distinct
+    configuration through a small bounded cache.
+    """
 
     model_family: str
     n_params: float
@@ -63,6 +88,10 @@ class ExperimentRecord:
     accuracy: float
 
     def __post_init__(self):
+        if not 0.0 <= self.accuracy <= 1.0:
+            raise DatasetError(
+                f"accuracy must be in [0, 1], got {self.accuracy!r}", column="accuracy"
+            )
         if not self.model_family:
             raise ValidationError("model_family must be non-empty")
         if not self.benchmark:
@@ -71,11 +100,8 @@ class ExperimentRecord:
             raise ValidationError(
                 f"task_category must be one of {_CATEGORIES}, got {self.task_category!r}"
             )
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValidationError(f"accuracy must be in [0, 1], got {self.accuracy!r}")
-        # Grid fields obey the same invariants as a PtqConfig.
-        cfg = PtqConfig(n_params=self.n_params, w_base=self.w_base, c_b=self.c_b, g=self.g)
-        object.__setattr__(self, "n_params", cfg.n_params)
+        n_params = _checked_n_params(self.n_params, self.w_base, self.c_b, self.g)
+        object.__setattr__(self, "n_params", n_params)
 
     @property
     def key(self) -> tuple:
@@ -87,9 +113,56 @@ class ExperimentRecord:
         return (self.model_family, self.n_params, self.w_base, self.c_b, self.g)
 
 
+class _DuplicateRecordError(DatasetError):
+    """Two records share a key; carries both indices so a loader can name rows."""
+
+    def __init__(self, key: tuple, first: int, index: int):
+        super().__init__(f"duplicate record for {key} (records {first} and {index})")
+        self.key = key
+        self.first = first
+        self.index = index
+
+
+class _Groups:
+    """A dataset's records grouped by configuration, built once per dataset."""
+
+    def __init__(self, records: tuple[ExperimentRecord, ...]):
+        grouped: dict[tuple, dict[str, float]] = {}
+        categories: dict[str, str] = {}
+        for record in records:
+            grouped.setdefault(record.config_key, {})[record.benchmark] = record.accuracy
+            categories.setdefault(record.benchmark, record.task_category)
+        #: Config keys by ascending (n_params, w_base, c_b, g), then family.
+        self.keys = tuple(sorted(grouped, key=lambda k: (k[1], k[2], k[3], k[4], k[0])))
+        #: Per key, in the same order: benchmark -> accuracy.
+        self.accuracies = tuple(grouped[key] for key in self.keys)
+        #: Benchmark -> task category, in first-seen order.
+        self.categories = categories
+        self.benchmarks = tuple(sorted(categories))
+        self._configs: dict[bool, tuple[PtqConfig, ...]] = {}
+
+    def configs(self, symmetric: bool) -> tuple[PtqConfig, ...]:
+        """One ``PtqConfig`` per key, built on the first call per ``symmetric``."""
+        symmetric = bool(symmetric)
+        if symmetric not in self._configs:
+            b_z = 0 if symmetric else None
+            self._configs[symmetric] = tuple(
+                PtqConfig(n_params=n_params, w_base=w_base, c_b=c_b, g=g, b_z=b_z)
+                for _, n_params, w_base, c_b, g in self.keys
+            )
+        return self._configs[symmetric]
+
+
 @dataclass(frozen=True)
 class ExperimentDataset:
-    """Validated, immutable collection of experiment records."""
+    """Validated, immutable collection of experiment records.
+
+    Construction checks that no two records share a key and that each
+    benchmark has one task category. The grouping by configuration that
+    ``aggregate``, ``benchmarks`` and ``categories`` read is built on first
+    use and reused, so aggregating one dataset for several scopes groups its
+    records once.
+    """
 
     records: tuple[ExperimentRecord, ...]
     provenance: dict = field(default_factory=dict, compare=False)
@@ -101,11 +174,10 @@ class ExperimentDataset:
         seen: dict[tuple, int] = {}
         categories: dict[str, str] = {}
         for index, record in enumerate(records):
-            if record.key in seen:
-                raise DatasetError(
-                    f"duplicate record for {record.key} (records {seen[record.key]} and {index})"
-                )
-            seen[record.key] = index
+            key = record.key
+            first = seen.setdefault(key, index)
+            if first != index:
+                raise _DuplicateRecordError(key, first, index)
             known = categories.setdefault(record.benchmark, record.task_category)
             if known != record.task_category:
                 raise DatasetError(
@@ -114,16 +186,26 @@ class ExperimentDataset:
                 )
         object.__setattr__(self, "records", records)
 
+    @cached_property
+    def _groups(self) -> _Groups:
+        return _Groups(self.records)
+
+    def __getstate__(self) -> dict:
+        # The cached grouping is derived from the records; pickle the fields only.
+        state = dict(self.__dict__)
+        state.pop("_groups", None)
+        return state
+
     def __len__(self) -> int:
         return len(self.records)
 
     def benchmarks(self) -> tuple[str, ...]:
         """Distinct benchmark names, sorted."""
-        return tuple(sorted({r.benchmark for r in self.records}))
+        return self._groups.benchmarks
 
     def categories(self) -> dict[str, str]:
         """Benchmark -> task-category map observed in the data."""
-        return {r.benchmark: r.task_category for r in self.records}
+        return dict(self._groups.categories)
 
     def filter(self, keep: Callable[[ExperimentRecord], bool], description: str = "filter") -> "ExperimentDataset":
         """Sub-dataset of records satisfying ``keep``; errors when empty."""
@@ -161,61 +243,61 @@ def _record_line(record: ExperimentRecord) -> str:
     ) + "\n"
 
 
-def _parse_row(values: dict[str, str], row: int) -> ExperimentRecord:
-    def number(column: str, caster, description: str):
-        text = values[column].strip()
-        try:
-            return caster(text)
-        except ValueError:
-            raise DatasetError(
-                f"row {row}, column {column}: malformed {description}: {text!r}",
-                row=row,
-                column=column,
-            ) from None
-
-    n_params = number("n_params", float, "number")
-    w_base = number("w_base", int, "integer")
-    c_b = number("c_b", int, "integer")
-    g = number("g", int, "integer")
-    accuracy = number("accuracy", float, "number")
-    if not 0.0 <= accuracy <= 1.0:
+def _number(text: str, column: str, caster, description: str, row: int):
+    text = text.strip()
+    try:
+        return caster(text)
+    except ValueError:
         raise DatasetError(
-            f"row {row}, column accuracy: value {accuracy!r} outside [0, 1]",
+            f"row {row}, column {column}: malformed {description}: {text!r}",
             row=row,
-            column="accuracy",
+            column=column,
+        ) from None
+
+
+def _parse_row(fields: Sequence[str], row: int, grids: dict[tuple, tuple]) -> ExperimentRecord:
+    """The record of one row's field texts, given in ``_COLUMNS`` order.
+
+    ``grids`` maps the text of a row's four grid fields to their parsed
+    values for the duration of one load, so the rows that repeat an earlier
+    row's configuration skip the number parsing. ``ExperimentRecord`` then
+    checks every row.
+    """
+    text = tuple(fields[1:5])
+    grid = grids.get(text)
+    if grid is None:
+        grid = grids[text] = tuple(
+            _number(value, column, caster, description, row)
+            for value, (column, caster, description) in zip(text, _GRID_PARSERS)
         )
+    accuracy = _number(fields[7], "accuracy", float, "number", row)
     try:
         return ExperimentRecord(
-            model_family=values["model_family"].strip(),
-            n_params=n_params,
-            w_base=w_base,
-            c_b=c_b,
-            g=g,
-            benchmark=values["benchmark"].strip(),
-            task_category=values["task_category"].strip(),
-            accuracy=accuracy,
+            fields[0].strip(), *grid, fields[5].strip(), fields[6].strip(), accuracy
         )
     except ValidationError as exc:
-        raise DatasetError(f"row {row}: {exc}", row=row) from None
+        raise DatasetError(
+            f"row {row}: {exc}", row=row, column=getattr(exc, "column", None)
+        ) from None
 
 
-def _finish_load(rows: list[tuple[int, ExperimentRecord]], source: str) -> ExperimentDataset:
-    seen: dict[tuple, int] = {}
-    for row, record in rows:
-        if record.key in seen:
-            raise DatasetError(
-                f"row {row}: duplicate of row {seen[record.key]} "
-                f"(key {record.key})",
-                row=row,
-            )
-        seen[record.key] = row
-    return ExperimentDataset(
-        records=tuple(record for _, record in rows),
-        provenance={
-            "source": source,
-            "loaded_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        },
-    )
+def _finish_load(
+    records: list[ExperimentRecord], rows: list[int], source: str
+) -> ExperimentDataset:
+    """The dataset of a file's records; ``rows[i]`` is the line of ``records[i]``."""
+    try:
+        return ExperimentDataset(
+            records=tuple(records),
+            provenance={
+                "source": source,
+                "loaded_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+            },
+        )
+    except _DuplicateRecordError as exc:
+        row = rows[exc.index]
+        raise DatasetError(
+            f"row {row}: duplicate of row {rows[exc.first]} (key {exc.key})", row=row
+        ) from None
 
 
 def _read_text(path, chars: int = -1) -> str:
@@ -230,7 +312,9 @@ def _read_text(path, chars: int = -1) -> str:
 def load_csv(path) -> ExperimentDataset:
     """Load and validate a CSV dataset.
 
-    Every error names the 1-based physical line (header is line 1) and the
+    Every row is checked; the grid fields of each distinct configuration text
+    are parsed and validated once per load. Every error names the 1-based
+    physical line (header is line 1) and, where one field is at fault, the
     offending column.
     """
     lines = _read_text(path).splitlines()
@@ -241,7 +325,9 @@ def load_csv(path) -> ExperimentDataset:
         raise DatasetError(
             f"{path}: header mismatch: expected {CSV_HEADER!r}, got {header!r}", row=1
         )
-    rows: list[tuple[int, ExperimentRecord]] = []
+    records: list[ExperimentRecord] = []
+    rows: list[int] = []
+    grids: dict[tuple, tuple] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -251,15 +337,22 @@ def load_csv(path) -> ExperimentDataset:
                 f"row {lineno}: expected {len(_COLUMNS)} fields, got {len(parts)}",
                 row=lineno,
             )
-        rows.append((lineno, _parse_row(dict(zip(_COLUMNS, parts)), lineno)))
-    if not rows:
+        records.append(_parse_row(parts, lineno, grids))
+        rows.append(lineno)
+    if not records:
         raise DatasetError(f"{path}: no data rows", row=1)
-    return _finish_load(rows, str(path))
+    return _finish_load(records, rows, str(path))
 
 
 def load_jsonl(path) -> ExperimentDataset:
-    """Load the JSON-lines mirror format (one object per line, same fields)."""
-    rows: list[tuple[int, ExperimentRecord]] = []
+    """Load the JSON-lines mirror format (one object per line, same fields).
+
+    Validation matches ``load_csv``; in addition each line must be a JSON
+    object and its text fields JSON strings.
+    """
+    records: list[ExperimentRecord] = []
+    rows: list[int] = []
+    grids: dict[tuple, tuple] = {}
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -267,16 +360,26 @@ def load_jsonl(path) -> ExperimentDataset:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"row {lineno}: invalid JSON: {exc}", row=lineno) from None
+        if not isinstance(payload, dict):
+            raise DatasetError(f"row {lineno}: expected a JSON object", row=lineno)
         missing = [c for c in _COLUMNS if c not in payload]
         if missing:
             raise DatasetError(
                 f"row {lineno}: missing fields {missing}", row=lineno, column=missing[0]
             )
-        values = {c: str(payload[c]) for c in _COLUMNS}
-        rows.append((lineno, _parse_row(values, lineno)))
-    if not rows:
+        for column in _TEXT_COLUMNS:
+            if not isinstance(payload[column], str):
+                raise DatasetError(
+                    f"row {lineno}, column {column}: expected a JSON string, "
+                    f"got {json.dumps(payload[column])}",
+                    row=lineno,
+                    column=column,
+                )
+        records.append(_parse_row([str(payload[c]) for c in _COLUMNS], lineno, grids))
+        rows.append(lineno)
+    if not records:
         raise DatasetError(f"{path}: no data rows", row=1)
-    return _finish_load(rows, str(path))
+    return _finish_load(records, rows, str(path))
 
 
 def load_dataset(path) -> ExperimentDataset:
@@ -320,7 +423,7 @@ def write_jsonl(ds: ExperimentDataset, path) -> None:
 
 
 def _scope_benchmarks(ds: ExperimentDataset, scope: str) -> tuple[str, ...]:
-    categories = ds.categories()
+    categories = ds._groups.categories
     if scope == GENERAL:
         return ds.benchmarks()
     if scope in _CATEGORIES:
@@ -346,33 +449,31 @@ def aggregate(
     average four or five tasks rather than six). Every configuration must
     carry every selected benchmark. Output is ordered by ascending
     (n_params, w_base, c_b, g).
+
+    The dataset's grouping by configuration, and its ``PtqConfig`` per
+    configuration and ``symmetric`` value, are built on the first call and
+    reused by later ones, so each call only computes the means.
     """
     wanted = tuple(benchmarks) if benchmarks is not None else _scope_benchmarks(ds, scope)
     if not wanted:
         raise ValidationError("benchmark list for aggregation is empty")
-    available = set(ds.benchmarks())
-    unknown = [b for b in wanted if b not in available]
+    groups = ds._groups
+    unknown = [b for b in wanted if b not in groups.categories]
     if unknown:
         raise ValidationError(f"benchmarks not present in dataset: {unknown}")
 
-    grouped: dict[tuple, dict[str, float]] = {}
-    for record in ds.records:
-        grouped.setdefault(record.config_key, {})[record.benchmark] = record.accuracy
-
     observations = []
-    for key in sorted(grouped, key=lambda k: (k[1], k[2], k[3], k[4], k[0])):
-        family, n_params, w_base, c_b, g = key
-        per_benchmark = grouped[key]
+    for key, per_benchmark, cfg in zip(
+        groups.keys, groups.accuracies, groups.configs(symmetric)
+    ):
         missing = [b for b in wanted if b not in per_benchmark]
         if missing:
+            family, n_params, w_base, c_b, g = key
             raise DatasetError(
                 f"config (family={family}, n={n_params:g}, w={w_base}, c_b={c_b}, g={g}) "
                 f"is missing benchmark {missing[0]!r}"
             )
         mean = sum(per_benchmark[b] for b in wanted) / len(wanted)
-        cfg = PtqConfig(
-            n_params=n_params, w_base=w_base, c_b=c_b, g=g, b_z=0 if symmetric else None
-        )
         observations.append(Observation(config=cfg, task=scope, accuracy=mean))
     return observations
 
@@ -391,7 +492,9 @@ def generate_synthetic(
     Each grid configuration gets one record per benchmark (default: the six
     canonical ones), with independent noise per record. Accuracies are
     clamped to [0, 1]; the clamp count lands in ``provenance["clamped_rows"]``.
-    The same seed always produces a byte-identical dataset.
+    The same seed always produces a byte-identical dataset. The grid's
+    configurations are already validated, and each record's grid fields are
+    checked once per distinct configuration, not once per benchmark.
     """
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")

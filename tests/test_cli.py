@@ -228,6 +228,20 @@ class TestFit:
 
 
 class TestAblate:
+    @pytest.mark.parametrize("line", ["5", '{"model_family": null}'])
+    def test_bad_jsonl_line_exits_2(self, capsys, tmp_path, line):
+        valid = {
+            "model_family": "opt", "n_params": 125000000, "w_base": 2, "c_b": 8, "g": 32,
+            "benchmark": "hellaswag", "task_category": "utilization", "accuracy": 0.3,
+        }
+        bad = line if line == "5" else json.dumps({**valid, "model_family": None})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(valid) + "\n" + bad + "\n")
+        code, out, err = run_cli(capsys, "ablate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: row 2")
+        assert len(err.splitlines()) == 1
+
     def test_text_table(self, capsys, fixture_csv_path):
         code, out, err = run_cli(capsys, "ablate", str(fixture_csv_path))
         assert code == 0

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqlaw import (
     CSV_HEADER,
@@ -23,8 +27,14 @@ from ptqlaw import (
     write_csv,
     write_jsonl,
 )
+from ptqlaw import dataset as dataset_module
+from ptqlaw import model as model_module
+from ptqlaw.dataset import _COLUMNS
+from ptqlaw.fitting import Observation
 
 SIX = ("lama-conceptnet", "lama-squad", "hellaswag", "winogrande", "arc-e", "arc-c")
+CATEGORY = dict(zip(SIX, ("memorization", "memorization") + ("utilization",) * 4))
+SCOPES = ("general", "memorization", "utilization")
 
 
 def record(benchmark="hellaswag", category="utilization", **overrides):
@@ -106,6 +116,64 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "fault, column",
+        [
+            ({"accuracy": "abc"}, "accuracy"),
+            ({"accuracy": "1.5"}, "accuracy"),
+            ({"task_category": "reasoning"}, None),
+            ({"model_family": " "}, None),
+            ({"benchmark": ""}, None),
+        ],
+    )
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_bad_row_repeating_a_valid_config_is_named(self, tmp_path, fault, column, suffix):
+        # Row 3 repeats row 2's configuration text exactly; its own fault
+        # must still be found and reported against row 3.
+        valid = dict(zip(_COLUMNS, "opt,125000000,2,8,32,hellaswag,utilization,0.3".split(",")))
+        bad = {**valid, "benchmark": "winogrande", **fault}
+        path = tmp_path / f"repeat{suffix}"
+        if suffix == ".csv":
+            path.write_text("\n".join([CSV_HEADER] + [",".join(r.values()) for r in (valid, bad)]))
+            row = 3
+        else:
+            path.write_text("\n".join(json.dumps(r) for r in (valid, bad)) + "\n")
+            row = 2
+        with pytest.raises(DatasetError, match=f"row {row}\\b") as info:
+            load_dataset(path)
+        assert info.value.row == row
+        assert info.value.column == column
+
+    def test_load_validates_each_configuration_once(self, monkeypatch, fixture_csv_path):
+        calls = {"config": 0, "parse": 0}
+        check_config = model_module.PtqConfig.__post_init__
+        parse = dataset_module._number
+
+        def counting_check(cfg):
+            calls["config"] += 1
+            check_config(cfg)
+
+        def counting_parse(*args):
+            calls["parse"] += 1
+            return parse(*args)
+
+        monkeypatch.setattr(model_module.PtqConfig, "__post_init__", counting_check)
+        monkeypatch.setattr(dataset_module, "_number", counting_parse)
+        dataset_module._checked_n_params.cache_clear()
+        ds = load_csv(fixture_csv_path)
+        assert len(ds) == 2304
+        # One PtqConfig check and four grid-field parses per distinct
+        # configuration; the accuracy is parsed on every row.
+        assert calls == {"config": 384, "parse": 384 * 4 + 2304}
+
+        calls["config"] = 0
+        for scope in SCOPES:
+            aggregate(ds, scope)
+        assert calls["config"] == 384  # one PtqConfig per configuration, reused
+        aggregate(ds, "general", symmetric=True)
+        aggregate(ds, "memorization", symmetric=True)
+        assert calls["config"] == 2 * 384
+
     def test_shipped_fixture_loads(self, fixture_csv_path):
         ds = load_csv(fixture_csv_path)
         assert len(ds) == 384 * 6
@@ -168,6 +236,27 @@ class TestRoundTrips:
         with pytest.raises(DatasetError, match="missing fields"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("line", ["5", '["model_family", "n_params"]', '"opt"', "null"])
+    def test_jsonl_line_must_be_an_object(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(dataset_to_jsonl(ExperimentDataset((record(),))) + line + "\n")
+        with pytest.raises(DatasetError, match="^row 2: expected a JSON object$") as info:
+            load_jsonl(path)
+        assert info.value.row == 2
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("model_family", None), ("benchmark", 5), ("task_category", True), ("model_family", ["opt"])],
+    )
+    def test_jsonl_text_fields_must_be_strings(self, tmp_path, column, value):
+        payload = json.loads(dataset_to_jsonl(ExperimentDataset((record(),))))
+        payload[column] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(DatasetError, match=f"row 1, column {column}: expected a JSON string") as info:
+            load_jsonl(path)
+        assert (info.value.row, info.value.column) == (1, column)
+
 
 class TestDatasetInvariants:
     def test_duplicate_records_rejected(self):
@@ -194,6 +283,25 @@ class TestDatasetInvariants:
             ExperimentDataset(records=(a, b)).fingerprint()
             == ExperimentDataset(records=(b, a)).fingerprint()
         )
+
+    def test_record_accuracy_out_of_range_names_column(self):
+        with pytest.raises(DatasetError, match="accuracy") as info:
+            record(accuracy=1.5)
+        assert info.value.column == "accuracy"
+
+    def test_aggregate_leaves_equality_hash_repr_and_pickle_unchanged(self, fixture_csv_path):
+        ds = load_csv(fixture_csv_path)
+        fresh = ExperimentDataset(records=ds.records, provenance=dict(ds.provenance))
+        before = (hash(ds), repr(ds), pickle.dumps(ds))
+        for scope in SCOPES:
+            aggregate(ds, scope)
+        aggregate(ds, "general", symmetric=True)
+        ds.benchmarks()
+        assert ds == fresh
+        assert (hash(ds), repr(ds), pickle.dumps(ds)) == before
+        assert pickle.dumps(ds) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(ds))
+        assert aggregate(restored, "utilization") == aggregate(ds, "utilization")
 
     def test_filter_empty_is_an_error(self):
         ds = ExperimentDataset(records=(record(),))
@@ -275,6 +383,110 @@ class TestAggregate:
         ds = load_csv(fixture_csv_path)
         observations = aggregate(ds, "general")
         assert len(observations) == 384
+
+
+def reference_aggregate(ds, scope="general", benchmarks=None, symmetric=False):
+    """The per-call grouping ``aggregate`` used before datasets cached it."""
+    categories = {r.benchmark: r.task_category for r in ds.records}
+    if benchmarks is not None:
+        wanted = tuple(benchmarks)
+    elif scope == "general":
+        wanted = tuple(sorted(categories))
+    elif scope in ("memorization", "utilization"):
+        wanted = tuple(sorted(b for b, cat in categories.items() if cat == scope))
+        if not wanted:
+            raise ValidationError(f"dataset has no {scope} benchmarks")
+    else:
+        raise ValidationError(
+            f"unknown scope {scope!r}; expected 'general', 'memorization' or 'utilization'"
+        )
+    if not wanted:
+        raise ValidationError("benchmark list for aggregation is empty")
+    unknown = [b for b in wanted if b not in categories]
+    if unknown:
+        raise ValidationError(f"benchmarks not present in dataset: {unknown}")
+
+    grouped = {}
+    for r in ds.records:
+        grouped.setdefault(r.config_key, {})[r.benchmark] = r.accuracy
+
+    observations = []
+    for key in sorted(grouped, key=lambda k: (k[1], k[2], k[3], k[4], k[0])):
+        family, n_params, w_base, c_b, g = key
+        per_benchmark = grouped[key]
+        missing = [b for b in wanted if b not in per_benchmark]
+        if missing:
+            raise DatasetError(
+                f"config (family={family}, n={n_params:g}, w={w_base}, c_b={c_b}, g={g}) "
+                f"is missing benchmark {missing[0]!r}"
+            )
+        mean = sum(per_benchmark[b] for b in wanted) / len(wanted)
+        cfg = PtqConfig(
+            n_params=n_params, w_base=w_base, c_b=c_b, g=g, b_z=0 if symmetric else None
+        )
+        observations.append(Observation(config=cfg, task=scope, accuracy=mean))
+    return observations
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def random_datasets(draw):
+    configs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("opt", "llama")),
+                st.sampled_from((125e6, 1.3e9, 6.7e9, 1000.5)),
+                st.integers(1, 8),
+                st.sampled_from((2, 8, 128)),
+                st.sampled_from((1, 32, 128)),
+            ),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    names = draw(st.lists(st.sampled_from(SIX), min_size=1, max_size=6, unique=True))
+    records = [
+        ExperimentRecord(family, n, w, cb, g, name, CATEGORY[name], draw(st.floats(0.0, 1.0)))
+        for family, n, w, cb, g in configs
+        for name in names
+        if draw(st.integers(0, 24))  # now and then a configuration misses a benchmark
+    ]
+    if not records:
+        records = [ExperimentRecord(*configs[0], names[0], CATEGORY[names[0]], 0.5)]
+    return ExperimentDataset(tuple(draw(st.permutations(records))))
+
+
+class TestAggregateMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=random_datasets(),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(SCOPES),
+                st.none() | st.lists(st.sampled_from(SIX), max_size=7),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_same_observations_as_per_call_grouping(self, ds, calls):
+        # Repeated calls on one dataset read its cached grouping; each must
+        # equal a fresh per-call grouping: configs, order and accuracies.
+        for scope, benchmarks, symmetric in calls:
+            expected = outcome(reference_aggregate, ds, scope, benchmarks, symmetric)
+            actual = outcome(aggregate, ds, scope, benchmarks, symmetric)
+            assert actual == expected
+            if isinstance(expected, list):
+                assert [o.config for o in actual] == [o.config for o in expected]
+                assert [o.accuracy for o in actual] == [o.accuracy for o in expected]
 
 
 class TestGenerateSynthetic:
