@@ -12,13 +12,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ExtrapolationWarning, ValidationError
 from .model import (
     Factor,
     PtqConfig,
     ScalingLawParams,
+    _factor_index,
+    _FactorIndex,
     effective_bit_width,
     evaluate,
 )
@@ -39,6 +41,7 @@ class _Grid(NamedTuple):
     configs: tuple[PtqConfig, ...]
     storage_bits: tuple[float, ...]
     outside: tuple[tuple[str, ...], ...]  # fields outside FITTED_RANGES
+    index: _FactorIndex  # each factor's distinct keys and each point's index into them
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,11 @@ class SearchSpace:
     ``symmetric`` selects the zero-point convention for every generated
     configuration (b_z = 0 rather than b_z = w_base).
 
-    The grid (its configurations, their storage costs and range checks) is
-    built once per space, on first use, and reused by every later sweep of
-    it. It is not a field: equality, hashing, repr and pickling see only the
-    candidate lists.
+    The grid (its configurations, their storage costs and range checks, and
+    the factor index that maps each configuration to the distinct values of
+    each factor) is built once per space, on first use, and reused by every
+    later sweep of it. It is not a field: equality, hashing, repr and
+    pickling see only the candidate lists.
     """
 
     n_params: tuple[float, ...]
@@ -95,6 +99,7 @@ class SearchSpace:
             configs=configs,
             storage_bits=tuple(cfg.n_params * effective_bit_width(cfg).value for cfg in configs),
             outside=tuple(_out_of_range_fields(cfg) for cfg in configs),
+            index=_factor_index(configs),
         )
 
     def __getstate__(self) -> dict:
@@ -153,6 +158,33 @@ def _out_of_range_fields(cfg: PtqConfig) -> tuple[str, ...]:
     return tuple(name for name, value, (lo, hi) in checks if not lo <= value <= hi)
 
 
+def _evaluate_grid(
+    params: ScalingLawParams, space: SearchSpace, allow_extrapolation: bool
+) -> tuple[_Grid, list[float]]:
+    """The space's grid and each point's predicted accuracy, in grid order.
+
+    Applies the extrapolation policy of ``sweep`` and ``min_cost_config``,
+    which call this directly: its warning names their caller's line.
+    """
+    space.configs()  # builds the grid on the space's first sweep
+    grid = space._grid
+    first = next((i for i, fields in enumerate(grid.outside) if fields), None)
+    if first is not None:
+        if not allow_extrapolation:
+            cfg = grid.configs[first]
+            raise ValidationError(
+                f"{', '.join(grid.outside[first])} outside the fitted ranges for config "
+                f"(n={cfg.n_params:g}, w={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}); "
+                f"pass allow_extrapolation to evaluate anyway"
+            )
+        warnings.warn(
+            "sweep extrapolates beyond the fitted ranges; treat those rows with care",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
+    return grid, evaluate(params, grid.configs, _index=grid.index).tolist()
+
+
 def sweep(
     params: ScalingLawParams,
     space: SearchSpace,
@@ -165,32 +197,17 @@ def sweep(
     which case they are stamped and a single ``ExtrapolationWarning`` is
     emitted.
 
-    The grid, its storage costs and its range checks come from the space,
-    which builds them once; repeated sweeps of one space (for several
-    presets, or by ``min_cost_config``) pay only for ``evaluate``.
+    The grid, its storage costs, its range checks and its factor index come
+    from the space, which builds them once; repeated sweeps of one space (for
+    several presets, or by ``min_cost_config``) pay only for evaluating the
+    law and building the points.
 
     Raises:
         ValidationError: an out-of-range configuration without the
             extrapolation flag, or an invalid space.
         DomainError: from ``evaluate``, naming the offending configuration.
     """
-    configs = space.configs()  # builds the grid on the space's first sweep
-    grid = space._grid
-    first = next((i for i, fields in enumerate(grid.outside) if fields), None)
-    if first is not None:
-        if not allow_extrapolation:
-            cfg = configs[first]
-            raise ValidationError(
-                f"{', '.join(grid.outside[first])} outside the fitted ranges for config "
-                f"(n={cfg.n_params:g}, w={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}); "
-                f"pass allow_extrapolation to evaluate anyway"
-            )
-        warnings.warn(
-            "sweep extrapolates beyond the fitted ranges; treat those rows with care",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    accuracies = evaluate(params, configs).tolist()
+    grid, accuracies = _evaluate_grid(params, space, allow_extrapolation)
     return [
         ParetoPoint(
             cfg=cfg,
@@ -199,18 +216,22 @@ def sweep(
             extrapolation=bool(fields),
         )
         for cfg, accuracy, storage_bits, fields in zip(
-            configs, accuracies, grid.storage_bits, grid.outside
+            grid.configs, accuracies, grid.storage_bits, grid.outside
         )
     ]
 
 
-def _tie_break_key(point: ParetoPoint) -> tuple:
-    return (point.cfg.w_base, point.cfg.g, point.cfg.c_b)
+def _tie_break_key(cfg: PtqConfig) -> tuple:
+    return (cfg.w_base, cfg.g, cfg.c_b)
 
 
-def _cost_key(point: ParetoPoint) -> tuple:
+def _cost_key(storage_bits: float, accuracy: float, cfg: PtqConfig) -> tuple:
     """Cheapest first, then most accurate, then the tie-break fields."""
-    return (point.storage_bits, -point.predicted_accuracy, _tie_break_key(point))
+    return (storage_bits, -accuracy, _tie_break_key(cfg))
+
+
+def _point_cost_key(point: ParetoPoint) -> tuple:
+    return _cost_key(point.storage_bits, point.predicted_accuracy, point.cfg)
 
 
 def pareto_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
@@ -227,9 +248,9 @@ def pareto_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
     for point in points:
         key = (point.storage_bits, point.predicted_accuracy)
         kept = deduped.get(key)
-        if kept is None or _tie_break_key(point) < _tie_break_key(kept):
+        if kept is None or _tie_break_key(point.cfg) < _tie_break_key(kept.cfg):
             deduped[key] = point
-    ordered = sorted(deduped.values(), key=_cost_key)
+    ordered = sorted(deduped.values(), key=_point_cost_key)
     frontier: list[ParetoPoint] = []
     best_accuracy = float("-inf")
     for point in ordered:
@@ -237,6 +258,26 @@ def pareto_frontier(points: list[ParetoPoint]) -> list[ParetoPoint]:
             frontier.append(point)
             best_accuracy = point.predicted_accuracy
     return frontier
+
+
+def _cheapest(
+    accuracies: list[float],
+    storage_bits: Sequence[float],
+    configs: Sequence[PtqConfig],
+    target_accuracy: float,
+) -> int | None:
+    """Row of the cheapest configuration reaching ``target_accuracy``, or None.
+
+    Rows are compared by ``_cost_key``; of equal keys the first row wins.
+    """
+    if not target_accuracy > 0:
+        raise ValidationError(f"target_accuracy must be positive, got {target_accuracy!r}")
+    feasible = (i for i, accuracy in enumerate(accuracies) if accuracy >= target_accuracy)
+    return min(
+        feasible,
+        key=lambda i: _cost_key(storage_bits[i], accuracies[i], configs[i]),
+        default=None,
+    )
 
 
 def min_cost_config(
@@ -248,16 +289,29 @@ def min_cost_config(
     """Cheapest grid point predicted to reach ``target_accuracy``.
 
     Returns None when no point qualifies; infeasibility is a value, not an
-    error. Ties resolve exactly as in ``pareto_frontier``.
+    error. Ties resolve exactly as in ``pareto_frontier``. The extrapolation
+    policy, and the point returned, are those of ``sweep``. Like ``sweep``,
+    it reuses the space's grid and factor index, built once per space; it
+    chooses from the evaluated grid and builds only the point it returns.
     """
-    return cheapest_reaching(
-        sweep(params, space, allow_extrapolation=allow_extrapolation), target_accuracy
+    grid, accuracies = _evaluate_grid(params, space, allow_extrapolation)
+    best = _cheapest(accuracies, grid.storage_bits, grid.configs, target_accuracy)
+    if best is None:
+        return None
+    return ParetoPoint(
+        cfg=grid.configs[best],
+        predicted_accuracy=accuracies[best],
+        storage_bits=grid.storage_bits[best],
+        extrapolation=bool(grid.outside[best]),
     )
 
 
 def cheapest_reaching(points: list[ParetoPoint], target_accuracy: float) -> ParetoPoint | None:
     """The point of ``points`` that ``min_cost_config`` selects, or None."""
-    if not target_accuracy > 0:
-        raise ValidationError(f"target_accuracy must be positive, got {target_accuracy!r}")
-    feasible = (p for p in points if p.predicted_accuracy >= target_accuracy)
-    return min(feasible, key=_cost_key, default=None)
+    best = _cheapest(
+        [p.predicted_accuracy for p in points],
+        [p.storage_bits for p in points],
+        [p.cfg for p in points],
+        target_accuracy,
+    )
+    return None if best is None else points[best]

@@ -214,7 +214,13 @@ class ExperimentDataset:
             raise ValidationError(f"no records match {description}")
         provenance = dict(self.provenance)
         provenance["filter"] = description
-        return ExperimentDataset(records=kept, provenance=provenance)
+        # A subset of a validated dataset cannot repeat a key or give a
+        # benchmark a second category, so the constructor's scan is skipped.
+        # The fields are set in the constructor's order so pickles match.
+        subset = object.__new__(ExperimentDataset)
+        object.__setattr__(subset, "records", kept)
+        object.__setattr__(subset, "provenance", provenance)
+        return subset
 
     def fingerprint(self) -> str:
         """Stable content hash of the records (provenance excluded)."""

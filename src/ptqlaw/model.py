@@ -264,18 +264,35 @@ _FACTOR_BASES = {
     Factor.B_EFF: (attrgetter("w_base", "g", "b_s", "b_z"), lambda key: log2(_b_eff(*key))),
 }
 
+#: Per factor: its distinct keys in first-appearance order, and each row's
+#: index into them (a read-only array).
+_FactorIndex = dict[Factor, tuple[tuple, np.ndarray]]
 
-def _factor_bases(factor: Factor, configs: Sequence[PtqConfig]) -> tuple[list[float], np.ndarray]:
-    """Bases of ``factor``, one per distinct key, and each row's index into them.
+
+def _factor_keys(factor: Factor, configs: Sequence[PtqConfig]) -> tuple[tuple, np.ndarray]:
+    """Distinct keys of ``factor`` in first-appearance order, and each row's index into them."""
+    key = _FACTOR_BASES[factor][0]
+    slots: dict = {}
+    rows = np.array([slots.setdefault(key(cfg), len(slots)) for cfg in configs], dtype=np.intp)
+    rows.flags.writeable = False
+    return tuple(slots), rows
+
+
+def _factor_index(configs: Sequence[PtqConfig]) -> _FactorIndex:
+    """Every factor's keys and row indices, for configurations evaluated repeatedly."""
+    return {factor: _factor_keys(factor, configs) for factor in FACTOR_ORDER}
+
+
+def _factor_bases(
+    factor: Factor, keys: tuple, rows: np.ndarray, configs: Sequence[PtqConfig]
+) -> list[float]:
+    """Base of ``factor`` for each of its distinct ``keys``.
 
     Raises:
         DomainError: effective bit-width <= 1; the first such row is named.
     """
-    key, base = _FACTOR_BASES[factor]
-    slots: dict = {}
-    rows = np.array([slots.setdefault(key(cfg), len(slots)) for cfg in configs], dtype=np.intp)
     if factor is Factor.B_EFF:
-        for slot, fields in enumerate(slots):
+        for slot, fields in enumerate(keys):
             b_eff = _b_eff(*fields)
             if b_eff <= 1.0:
                 cfg = configs[int(np.argmax(rows == slot))]
@@ -284,7 +301,8 @@ def _factor_bases(factor: Factor, configs: Sequence[PtqConfig]) -> tuple[list[fl
                     f"(n={cfg.n_params:g}, w_base={cfg.w_base}, c_b={cfg.c_b}, g={cfg.g}, "
                     f"b_s={cfg.b_s}, b_z={cfg.b_z})"
                 )
-    return [base(k) for k in slots], rows
+    base = _FACTOR_BASES[factor][1]
+    return [base(k) for k in keys]
 
 
 def factor_columns(configs: Sequence[PtqConfig], mask: Collection[Factor]) -> dict[Factor, np.ndarray]:
@@ -295,12 +313,17 @@ def factor_columns(configs: Sequence[PtqConfig], mask: Collection[Factor]) -> di
     columns = {}
     for factor in FACTOR_ORDER:
         if factor in mask:
-            bases, rows = _factor_bases(factor, configs)
-            columns[factor] = np.array(bases, dtype=float)[rows]
+            keys, rows = _factor_keys(factor, configs)
+            columns[factor] = np.array(_factor_bases(factor, keys, rows, configs), dtype=float)[rows]
     return columns
 
 
-def evaluate(params: ScalingLawParams, configs: Sequence[PtqConfig]) -> np.ndarray:
+def evaluate(
+    params: ScalingLawParams,
+    configs: Sequence[PtqConfig],
+    *,
+    _index: _FactorIndex | None = None,
+) -> np.ndarray:
     """Predicted accuracy of every configuration under ``params``, as an array.
 
     Row ``i`` is ``c`` times each masked-in factor's term for ``configs[i]``,
@@ -309,6 +332,10 @@ def evaluate(params: ScalingLawParams, configs: Sequence[PtqConfig]) -> np.ndarr
     the same product computed one configuration at a time. Values are not
     clamped and not warned about (``predict`` warns above 1).
 
+    ``_index`` is internal: the ``_factor_index`` of ``configs``, kept by a
+    caller that evaluates the same configurations repeatedly (a search
+    space's grid) so their keys are extracted once, not on every call.
+
     Raises:
         DomainError: a masked-in effective bit-width is <= 1; the first
             offending configuration is named.
@@ -316,7 +343,8 @@ def evaluate(params: ScalingLawParams, configs: Sequence[PtqConfig]) -> np.ndarr
     values = np.full(len(configs), params.c, dtype=float)
     with np.errstate(over="ignore"):
         for factor in params.masked_factors:
-            bases, rows = _factor_bases(factor, configs)
+            keys, rows = _factor_keys(factor, configs) if _index is None else _index[factor]
+            bases = _factor_bases(factor, keys, rows, configs)
             exponent = params.exponent(factor)
             values = values * np.array([b ** exponent for b in bases], dtype=float)[rows]
     return values

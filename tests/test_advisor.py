@@ -2,24 +2,34 @@ from __future__ import annotations
 
 import pickle
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_frontier_indices
 
 from ptqlaw import (
+    ALL_FACTORS,
+    DomainError,
     ExtrapolationWarning,
+    Factor,
     ParetoPoint,
     PtqConfig,
+    ScalingLawParams,
     SearchSpace,
     ValidationError,
     default_space,
     effective_bit_width,
+    load_registry,
     min_cost_config,
     pareto_frontier,
     predict,
     sweep,
 )
+from ptqlaw import model as model_module
+from ptqlaw.advisor import cheapest_reaching
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +95,21 @@ class TestSweep:
             points = sweep(params, space, allow_extrapolation=True)
         assert points[0].extrapolation is True
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda params, space: sweep(params, space, allow_extrapolation=True),
+            lambda params, space: min_cost_config(params, space, 0.1, allow_extrapolation=True),
+        ],
+        ids=["sweep", "min_cost_config"],
+    )
+    def test_extrapolation_warning_names_the_calling_line(self, registry, call):
+        space = SearchSpace(n_params=(50e9,), w_base=(4,), c_b=(128,), g=(64,))
+        with pytest.warns(ExtrapolationWarning) as caught:
+            call(registry.get("opt-general"), space)
+        (warning,) = caught
+        assert warning.filename == __file__
+
     def test_in_range_points_not_stamped(self, opt_points):
         assert not any(p.extrapolation for p in opt_points)
 
@@ -120,15 +145,64 @@ class TestGridReuse:
         assert mem == sweep(registry.get("llama2-mem"), default_space())
 
     def test_swept_space_is_a_plain_value(self, registry):
-        swept, fresh = default_space(), default_space()
-        sweep(registry.get("opt-general"), swept)
-        assert swept == fresh
-        assert hash(swept) == hash(fresh)
-        assert repr(swept) == repr(fresh)
-        assert pickle.dumps(swept) == pickle.dumps(fresh)
-        restored = pickle.loads(pickle.dumps(swept))
-        assert restored == fresh
-        assert restored.configs() == fresh.configs()
+        params = registry.get("opt-general")
+        swept, searched, fresh = default_space(), default_space(), default_space()
+        sweep(params, swept)
+        min_cost_config(params, searched, 0.3)
+        for used in (swept, searched):
+            assert used == fresh
+            assert hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+            assert pickle.dumps(used) == pickle.dumps(fresh)
+            restored = pickle.loads(pickle.dumps(used))
+            assert restored == fresh
+            assert restored.configs() == fresh.configs()
+
+    def test_repeat_sweeps_extract_no_keys(self, monkeypatch, registry):
+        extracted = []
+        real = model_module._factor_keys
+
+        def counting(factor, configs):
+            extracted.append(len(configs))
+            return real(factor, configs)
+
+        monkeypatch.setattr(model_module, "_factor_keys", counting)
+        params = registry.get("opt-general")
+        for first_use in (
+            lambda space: sweep(params, space),
+            lambda space: min_cost_config(params, space, 0.3),
+        ):
+            space = default_space()
+            first_use(space)
+            assert extracted == [384] * len(Factor)  # the grid's index, once per factor
+            for name in registry.names():
+                sweep(registry.get(name), space)
+                min_cost_config(registry.get(name), space, 0.3)
+            assert extracted == [384] * len(Factor)
+            extracted.clear()
+
+    def test_beff_domain_error_on_every_use_while_masked(self, registry):
+        # 1 + 16 / 10**18 rounds to exactly 1.0, so log2(b_eff) is 0
+        space = SearchSpace(
+            n_params=(6.7e9,), w_base=(1,), c_b=(128,), g=(10**18,), symmetric=True
+        )
+        without_beff = ScalingLawParams(
+            task="general", c=0.03, alpha=0.1, beta=0.07,
+            mask=frozenset({Factor.N, Factor.C_B}),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            for _ in range(3):
+                with pytest.raises(DomainError, match="b_eff"):
+                    sweep(registry.get("opt-general"), space, allow_extrapolation=True)
+                with pytest.raises(DomainError, match="b_eff"):
+                    min_cost_config(
+                        registry.get("opt-general"), space, 0.1, allow_extrapolation=True
+                    )
+                (point,) = sweep(without_beff, space, allow_extrapolation=True)
+                assert min_cost_config(
+                    without_beff, space, 1e-9, allow_extrapolation=True
+                ) == point
 
     def test_unbuildable_grid_raises_on_every_sweep(self, registry):
         # 2.5 passes the axis bound but no PtqConfig accepts it
@@ -240,6 +314,70 @@ class TestMinCostConfig:
     def test_non_positive_target_rejected(self, registry):
         with pytest.raises(ValidationError):
             min_cost_config(registry.get("opt-general"), default_space(), 0.0)
+
+
+def _linear_scan(points, target):
+    """The cheapest point reaching ``target``, written out independently."""
+    feasible = [p for p in points if p.predicted_accuracy >= target]
+    return min(
+        feasible,
+        key=lambda p: (p.storage_bits, -p.predicted_accuracy, p.cfg.w_base, p.cfg.g, p.cfg.c_b),
+        default=None,
+    )
+
+
+#: Axis candidates; the first and last of each lie outside the fitted ranges.
+_AXES = {
+    "n_params": (1e8, 125e6, 1.3e9, 6.7e9, 13e9, 3e10),
+    "w_base": (1, 2, 3, 4, 8, 9),
+    "c_b": (4, 8, 128, 4096, 8192),
+    "g": (16, 32, 64, 128, 1024, 2048),
+}
+
+_PRESETS = load_registry()
+
+
+@st.composite
+def _random_laws(draw):
+    mask = draw(st.sets(st.sampled_from(sorted(ALL_FACTORS)), max_size=4))
+    exponents = {
+        name: draw(st.floats(-0.5, 0.5)) if factor in mask else 0.0
+        for factor, name in model_module.EXPONENT_FIELDS.items()
+    }
+    return ScalingLawParams(task="general", c=draw(st.floats(0.01, 0.1)), mask=mask, **exponents)
+
+
+class TestMinCostConfigProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_law=_random_laws(),
+        axes=st.fixed_dictionaries(
+            {name: st.lists(st.sampled_from(values), min_size=1, max_size=5)
+             for name, values in _AXES.items()}
+        ),
+        symmetric=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_cheapest_of_the_sweep(self, random_law, axes, symmetric, data):
+        space = SearchSpace(symmetric=symmetric, **axes)
+        for params in [*map(_PRESETS.get, _PRESETS.names()), random_law]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtrapolationWarning)
+                points = sweep(params, SearchSpace(symmetric=symmetric, **axes),
+                               allow_extrapolation=True)
+                accuracies = [p.predicted_accuracy for p in points]
+                target = data.draw(
+                    st.one_of(
+                        st.sampled_from(accuracies),  # reached exactly, often by tied points
+                        st.floats(min(accuracies), max(accuracies)),
+                        st.just(max(accuracies) * 1.5),  # infeasible
+                    )
+                )
+                best = min_cost_config(params, space, target, allow_extrapolation=True)
+            expected = _linear_scan(points, target)
+            assert best == cheapest_reaching(points, target) == expected
+            if expected is not None:
+                assert best.predicted_accuracy.hex() == expected.predicted_accuracy.hex()
 
 
 def test_pareto_point_requires_positive_storage():

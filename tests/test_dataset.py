@@ -303,6 +303,20 @@ class TestDatasetInvariants:
         restored = pickle.loads(pickle.dumps(ds))
         assert aggregate(restored, "utilization") == aggregate(ds, "utilization")
 
+    def test_filter_matches_a_constructed_dataset(self, fixture_csv_path):
+        ds = load_csv(fixture_csv_path)
+        aggregate(ds, "general")
+        sliced = ds.filter(lambda r: r.w_base == 2, description="w_base=2")
+        fresh = ExperimentDataset(
+            records=tuple(r for r in ds.records if r.w_base == 2),
+            provenance={**ds.provenance, "filter": "w_base=2"},
+        )
+        assert sliced == fresh
+        assert sliced.provenance == fresh.provenance
+        assert (hash(sliced), repr(sliced)) == (hash(fresh), repr(fresh))
+        assert pickle.dumps(sliced) == pickle.dumps(fresh)
+        assert aggregate(sliced, "memorization") == aggregate(fresh, "memorization")
+
     def test_filter_empty_is_an_error(self):
         ds = ExperimentDataset(records=(record(),))
         with pytest.raises(ValidationError, match="w_base=9"):
